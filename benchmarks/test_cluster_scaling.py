@@ -49,7 +49,7 @@ def test_cluster_scaling(save_result):
             fam = cluster.count_family(graph, motifs, delta)
             elapsed = time.perf_counter() - t0
             stats = cluster.stats.as_dict()
-        assert stats["node_deaths"] == 0 and stats["chunk_retries"] == 0
+        assert stats["worker_deaths"] == 0 and stats["chunk_retries"] == 0
         for motif, result in zip(motifs, fam.results):
             assert result.count == census.counts[motif.name], (
                 f"count parity broke at N={nodes} on {motif.name}"

@@ -28,6 +28,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import List, Optional
 
@@ -530,10 +531,10 @@ def _mine_approx(graph, motif, args) -> int:
         return 2
     workers = getattr(args, "workers", 0)
     if workers > 0:
-        from repro.mining.parallel import MiningPool
+        from repro.resilience import SupervisedMiningPool
 
         window = window_length_for(args.delta, spec)
-        with MiningPool(graph, workers) as pool:
+        with SupervisedMiningPool(graph, workers, chunk_timeout_s=None) as pool:
             est = adaptive_estimate(
                 lambda lo, hi: pool.sample_intervals(
                     motif, args.delta, spec, lo, hi
@@ -833,7 +834,7 @@ def _cmd_chaos_cluster(args) -> int:
         ["total count", f"{sum(r.count for r in family.results):,}"],
         ["nodes (target)", args.nodes],
         ["injected kills", len(plan.specs)],
-        ["node deaths", stats["node_deaths"]],
+        ["node deaths", stats["worker_deaths"]],
         ["wedged kills", stats["wedged_kills"]],
         ["chunk retries", stats["chunk_retries"]],
         ["respawns", stats["respawns"]],
@@ -1031,6 +1032,11 @@ def cmd_live(args) -> int:
     return 0
 
 
+def _interrupt(signum, frame) -> None:
+    """SIGTERM handler: the same graceful shutdown as Ctrl-C."""
+    raise KeyboardInterrupt
+
+
 def cmd_serve(args) -> int:
     service, server = build_serve_server(args)
     host, port = server.server_address[:2]
@@ -1044,11 +1050,15 @@ def cmd_serve(args) -> int:
         f"breakers_open="
         f"{sum(1 for s in health['breakers'].values() if s != 'closed')}"
     )
+    # SIGTERM (a service manager, or `kill` of a background server)
+    # closes pools and unlinks shared memory exactly like SIGINT.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down")
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
         service.close()
     return 0

@@ -1,29 +1,28 @@
-"""`repro.cluster` — distributed sharded mining across worker nodes.
+"""`repro.cluster` — sharded mining across worker nodes.
 
-The path from "fast laptop" to horizontally-scaled serving (ROADMAP
-item 2): root-range chunks and commutative count merging — the same
-decomposition Gao et al. (arxiv 2204.09236) use to scale temporal motif
-counting — dispatched across N worker *node* processes speaking the
-supervised-worker chunk protocol over local sockets.
+Root-range chunks and commutative count merging — the decomposition Gao
+et al. (arxiv 2204.09236) use to scale temporal motif counting — run on
+the same supervised chunk runner as the local pool
+(:class:`~repro.resilience.supervisor.ChunkSupervisor`: one worker
+main, one authenticated local-socket transport, one supervision loop).
+This package adds only what is cluster-specific:
 
 - :mod:`~repro.cluster.ring` — :class:`HashRing`, deterministic
   consistent-hash placement of graphs (keyed on
   ``TemporalGraph.fingerprint``) onto node slots;
-- :mod:`~repro.cluster.node` — the node process: multi-graph residency
-  plus the existing chunk bodies, reached over an authenticated
-  ``multiprocessing.connection`` socket;
-- :mod:`~repro.cluster.coordinator` — :class:`MiningCluster`, the
-  shard dispatcher with chunk-level retry, budgeted respawn, ring
-  failover and degraded completion (counts stay byte-identical to the
-  serial miner through whole-node deaths);
+- :mod:`~repro.cluster.coordinator` — :class:`MiningCluster`: ring
+  placement, per-graph residency on the placed slots (respawns keep
+  their slot) and ring failover when every placed node is gone, so
+  counts stay byte-identical to the serial miner through whole-node
+  deaths;
 - :mod:`~repro.cluster.executor` — :class:`ClusterExecutor`, the
-  service backend; several service replicas can share one cluster.
+  service backend (exact and approximate batches); several service
+  replicas can share one cluster.
 """
 
 from repro.cluster.coordinator import (
     ClusterDegraded,
     ClusterFailed,
-    ClusterStats,
     MiningCluster,
     slot_name,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "ClusterDegraded",
     "ClusterExecutor",
     "ClusterFailed",
-    "ClusterStats",
     "DEFAULT_VNODES",
     "HashRing",
     "MiningCluster",

@@ -1,9 +1,9 @@
 """`ClusterExecutor` — the service backend that dispatches to a cluster.
 
 Implements the same executor interface the scheduler already speaks
-(``count_batch`` / ``release_graph`` / ``close`` plus the health
-introspection hooks), so ``MotifService(executor=ClusterExecutor(...))``
-serves through worker nodes with no scheduler changes.  Crucially the
+(``count_batch`` / ``estimate_batch`` / ``release_graph`` / ``close``
+plus the health introspection hooks), so
+``MotifService(executor=ClusterExecutor(...))`` serves through worker nodes with no scheduler changes.  Crucially the
 cluster can be *shared*: several service replicas each hold their own
 ``ClusterExecutor`` facade (own metrics counters, own fallback) over
 one :class:`~repro.cluster.coordinator.MiningCluster` — the
@@ -27,7 +27,7 @@ from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.parallel import POOL_ENGINES, MiningCancelled
 from repro.motifs.motif import Motif
 from repro.resilience.faults import fault_point
-from repro.service.executor import BatchItem, InlineExecutor
+from repro.service.executor import BatchItem, InlineExecutor, estimate_motifs
 from repro.service.metrics import ResilienceCounters
 
 
@@ -107,6 +107,38 @@ class ClusterExecutor:
             self.counters.inc("degraded_queries", len(motifs))
             return self._fallback.count_batch(graph, motifs, delta, cancel_check)
         return [(r.count, r.counters.as_dict()) for r in results]
+
+    def estimate_batch(
+        self,
+        graph: TemporalGraph,
+        motifs: Sequence[Motif],
+        delta: int,
+        spec,
+        cancel_check: Optional[Callable[[], bool]] = None,
+        on_round: Optional[Callable[[int, object], None]] = None,
+    ) -> List:
+        """Approximate each motif with sample chunks run on the nodes.
+
+        Byte-identical to the inline estimate (per-sample substreams
+        make batches chunking-invariant); a failing cluster attempt
+        falls back to inline sampling, like :meth:`count_batch`.
+        """
+        try:
+            fault_point("executor.batch", graph=graph.fingerprint())
+            return estimate_motifs(
+                lambda motif, lo, hi: self.cluster.sample_intervals(
+                    graph, motif, delta, spec, lo, hi, cancel_check
+                ),
+                motifs, delta, spec, cancel_check, on_round,
+            )
+        except MiningCancelled:
+            raise  # a deadline is not a backend failure
+        except Exception:  # noqa: BLE001 - any cluster failure degrades
+            self.counters.inc("backend_failures")
+            self.counters.inc("degraded_queries", len(motifs))
+            return self._fallback.estimate_batch(
+                graph, motifs, delta, spec, cancel_check, on_round
+            )
 
     # -- health introspection (MotifService.health consumers) ------------------
 

@@ -16,7 +16,7 @@ a whole family in ONE chronological traversal per root edge:
   the trie saved.
 
 Integration points: ``repro.mining.multi`` (``engine="comine"``),
-``MiningPool.count_family`` / ``SupervisedMiningPool.count_family``
+``SupervisedMiningPool.count_family`` / ``MiningCluster.count_family``
 (root-range family chunks with the existing retry/chaos machinery), the
 service batch lanes, and the ``repro census --engine comine`` CLI.
 """

@@ -366,39 +366,6 @@ class TemporalGraph:
     def in_degree(self, v: int) -> int:
         return int(self.in_offsets[v + 1] - self.in_offsets[v])
 
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self._num_nodes:
-            raise ValueError(
-                f"node id {node} out of range (num_nodes={self._num_nodes})"
-            )
-
-    def first_out_after(self, u: int, edge_index: int) -> int:
-        """Position within ``out_edges(u)`` of the first edge index ``> edge_index``.
-
-        This is the binary search the software baseline performs at the
-        start of every phase-1 filter (Algorithm 1 lines 31/33; §VI-A
-        notes software uses binary search where Mint's hardware streams
-        linearly).  The probe runs entirely inside numpy
-        (``np.searchsorted`` on the CSR slice): ``bisect`` over a numpy
-        array would box one scalar per comparison, turning every probe
-        into O(log d) numpy→Python crossings.  Raises :class:`ValueError`
-        for out-of-range node ids rather than a bare ``IndexError`` from
-        the offsets array.
-        """
-        self._check_node(u)
-        lo, hi = self.out_offsets[u], self.out_offsets[u + 1]
-        return int(
-            np.searchsorted(self.out_edge_idx[lo:hi], edge_index, side="right")
-        )
-
-    def first_in_after(self, v: int, edge_index: int) -> int:
-        """Position within ``in_edges(v)`` of the first edge index ``> edge_index``."""
-        self._check_node(v)
-        lo, hi = self.in_offsets[v], self.in_offsets[v + 1]
-        return int(
-            np.searchsorted(self.in_edge_idx[lo:hi], edge_index, side="right")
-        )
-
     # -- vectorized slice helpers (batched frontier engine) ----------------------
 
     @property

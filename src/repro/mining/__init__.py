@@ -32,7 +32,6 @@ from repro.mining.cycles import TemporalCycleMiner, count_temporal_cycles
 from repro.mining.parallel import (
     FamilyParallelResult,
     MiningCancelled,
-    MiningPool,
     ParallelResult,
     count_motifs_parallel,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "count_temporal_cycles",
     "FamilyParallelResult",
     "MiningCancelled",
-    "MiningPool",
     "ParallelResult",
     "count_motifs_parallel",
     "MotifCensus",

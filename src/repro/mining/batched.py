@@ -1,7 +1,7 @@
 """Vectorized batched frontier engine (Everest-style data-parallel search).
 
 :class:`MackeyMiner` advances one candidate graph edge per Python
-iteration — every layer above it (MiningPool, SupervisedMiningPool,
+iteration — every layer above it (SupervisedMiningPool, MiningCluster,
 service batch lanes, co-mining) multiplies that scalar core.  This
 engine flattens the same search into **frontier expansion**: a whole
 batch of partial matches is held as parallel numpy arrays and one motif

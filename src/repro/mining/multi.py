@@ -163,10 +163,11 @@ def _count_family_parallel(
     num_workers: int,
     chunks_per_worker: int,
 ) -> MotifCensus:
-    """Shard the family across a :class:`MiningPool` (either engine)."""
-    from repro.mining.parallel import MiningPool
+    """Shard the family across a supervised pool (either engine)."""
+    from repro.resilience.supervisor import SupervisedMiningPool
 
-    with MiningPool(graph, num_workers) as pool:
+    # Offline census: no deadline, so no wedge detection.
+    with SupervisedMiningPool(graph, num_workers, chunk_timeout_s=None) as pool:
         if engine == "comine":
             fam = pool.count_family(
                 list(motifs), delta, chunks_per_worker
@@ -213,7 +214,7 @@ def grid_census(
     ``engine="comine"`` runs the whole grid in one shared traversal
     (every row's two-edge prefix searched once for its six motifs);
     ``num_workers > 0`` shards either engine's root-range chunks across
-    one shared :class:`~repro.mining.parallel.MiningPool`.  Counts are
+    one shared :class:`~repro.resilience.supervisor.SupervisedMiningPool`.  Counts are
     identical across all four combinations by construction.
     """
     census = grid_family_census(

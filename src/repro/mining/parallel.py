@@ -1,42 +1,37 @@
-"""Parallel task-centric mining on real CPU cores.
+"""Parallel task-centric mining on real CPU cores: what one chunk computes.
 
 The paper's software baseline is "a task-centric multi-threaded
 implementation (similar to [the] proposed programming model) using work
-stealing OpenMP threads" (§VII-D).  This module is the Python analog:
-root tasks (search trees) are independent, so they are partitioned into
-chunks and mined by a pool of worker processes, with per-worker counters
-merged at the end.
+stealing OpenMP threads" (§VII-D).  The Python analog partitions root
+tasks (search trees) into root-range chunks, mines them in worker
+processes and merges per-chunk counters.  This module holds the parts
+of that scheme that do not depend on who runs a chunk:
 
-Two properties make the layer cheap enough to approximate the OpenMP
-baseline:
+- **Chunk bodies.**  :data:`CHUNK_KINDS` maps each chunk kind —
+  ``"motif"`` (the Mackey DFS), ``"batched"`` (vectorized frontier
+  expansion), ``"family"`` (one co-mining traversal for a motif family)
+  and ``"sample"`` (approximate interval sampling) — to the engine it
+  builds against a worker's resident graph and the wire payload it
+  returns.  :func:`run_chunk` is the one entry point every worker calls.
+- **Zero-copy graph shipping.**  :class:`GraphShipment` places the
+  graph's seven backing numpy arrays (edge list + both CSR adjacency
+  structures) in one ``multiprocessing.shared_memory`` segment; workers
+  adopt views of that segment (:meth:`ResidentGraph.adopt`), so no
+  per-run pickling and no CSR rebuild happens in workers.
+- **Guided chunking.**  :func:`_guided_bounds` cuts root ranges with a
+  decaying-size schedule so hub-rooted stragglers cannot serialize the
+  tail — the work-stealing effect of the paper's baseline.
 
-- **Zero-copy graph shipping.**  The graph's seven backing numpy arrays
-  (edge list + both CSR adjacency structures) are placed in one
-  ``multiprocessing.shared_memory`` segment; workers adopt views of
-  that segment via :meth:`TemporalGraph.from_arrays`, so no per-run
-  pickling of Python tuples and no CSR rebuild happens in workers.
-  Where shared memory is unavailable the arrays are pickled once per
-  worker as raw buffers (still no tuple explosion).
-- **Dynamic chunk dispatch.**  Root ranges are cut with a guided
-  (decaying-size) schedule and handed to workers through a bounded
-  in-flight window driven by ``concurrent.futures.wait``: whenever any
-  chunk finishes, the next chunk is dispatched to the freed worker.
-  Hub-rooted straggler chunks therefore no longer serialize the tail
-  the way a barrier-style ``pool.map`` over static chunks did — the
-  work-stealing effect of the paper's baseline, without threads.
-
-:class:`MiningPool` keeps the worker pool (and the resident graph)
-alive across many ``count`` calls, so multi-motif workloads such as the
-36-motif Paranjape census ship the graph exactly once.
+The process side — workers, dispatch, retries — is
+:class:`~repro.resilience.supervisor.SupervisedMiningPool`, which keeps
+the graph resident in every worker across many calls.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -57,18 +52,8 @@ try:  # pragma: no cover - always present on CPython >= 3.8
 except ImportError:  # pragma: no cover
     _shm = None
 
-# Module-level worker state (set up once per worker process via the
-# initializer so the graph is shipped exactly once, not per chunk).
-_WORKER_STATE: dict = {}
-
 
 # -- worker side ---------------------------------------------------------------
-
-
-def _adopt_graph(arrays: Dict[str, np.ndarray], num_nodes: int) -> None:
-    graph = TemporalGraph.from_arrays(num_nodes=num_nodes, validate=False, **arrays)
-    _WORKER_STATE["graph"] = graph
-    _WORKER_STATE["miners"] = {}
 
 
 def _attach_untracked(shm_name: str):
@@ -90,97 +75,6 @@ def _attach_untracked(shm_name: str):
             return _shm.SharedMemory(name=shm_name)
         finally:
             resource_tracker.register = original
-
-
-def _init_worker_shm(
-    shm_name: str, layout: Dict[str, Tuple[int, int]], num_nodes: int
-) -> None:
-    """Attach the shared-memory segment and adopt zero-copy array views."""
-    seg = _attach_untracked(shm_name)
-    _WORKER_STATE["shm"] = seg  # keep the mapping alive
-    arrays = {
-        name: np.ndarray((length,), dtype=np.int64, buffer=seg.buf, offset=start * 8)
-        for name, (start, length) in layout.items()
-    }
-    _adopt_graph(arrays, num_nodes)
-
-
-def _init_worker_arrays(arrays: Dict[str, np.ndarray], num_nodes: int) -> None:
-    """Fallback initializer: arrays arrive pickled once per worker."""
-    _adopt_graph(arrays, num_nodes)
-
-
-def _miner_for(motif_edges: Tuple[Tuple[int, int], ...], delta: int) -> "_RangeMiner":
-    miners: dict = _WORKER_STATE["miners"]
-    key = (motif_edges, delta)
-    miner = miners.get(key)
-    if miner is None:
-        miner = _RangeMiner(_WORKER_STATE["graph"], Motif(motif_edges), delta)
-        miners[key] = miner
-    return miner
-
-
-def _mine_chunk(
-    task: Tuple[Tuple[Tuple[int, int], ...], int, int, int]
-) -> Tuple[int, dict]:
-    motif_edges, delta, lo, hi = task
-    result = _miner_for(motif_edges, delta).mine_range(lo, hi)
-    return result.count, result.counters.as_dict()
-
-
-def _batched_miner_for(motif_edges: Tuple[Tuple[int, int], ...], delta: int):
-    """Worker-resident :class:`~repro.mining.batched.BatchedMiner`.
-
-    Like :func:`_miner_for`, built once per (motif, delta) and reused
-    across that motif's chunks (the level plan is precomputed once).
-    """
-    from repro.mining.batched import BatchedMiner  # lazy: avoids an import cycle
-
-    miners: dict = _WORKER_STATE.setdefault("batched_miners", {})
-    key = (motif_edges, delta)
-    miner = miners.get(key)
-    if miner is None:
-        miner = BatchedMiner(_WORKER_STATE["graph"], Motif(motif_edges), delta)
-        miners[key] = miner
-    return miner
-
-
-def _mine_batched_chunk(
-    task: Tuple[Tuple[Tuple[int, int], ...], int, int, int]
-) -> Tuple[int, dict]:
-    """Chunk body of :func:`_mine_chunk` on the batched frontier engine."""
-    motif_edges, delta, lo, hi = task
-    result = _batched_miner_for(motif_edges, delta).mine_range(lo, hi)
-    return result.count, result.counters.as_dict()
-
-
-def _cominer_for(family_edges: Tuple[Tuple[Tuple[int, int], ...], ...], delta: int):
-    """Worker-resident :class:`~repro.comine.engine.CoMiner` per family.
-
-    Like :func:`_miner_for`, the co-miner (and its motif trie) is built
-    once per (family, delta) and reused across that family's chunks.
-    """
-    from repro.comine.engine import CoMiner  # lazy: avoids an import cycle
-
-    cominers: dict = _WORKER_STATE.setdefault("cominers", {})
-    key = (family_edges, delta)
-    cominer = cominers.get(key)
-    if cominer is None:
-        cominer = CoMiner(
-            _WORKER_STATE["graph"],
-            [Motif(edges) for edges in family_edges],
-            delta,
-        )
-        cominers[key] = cominer
-    return cominer
-
-
-def _mine_family_chunk(
-    task: Tuple[Tuple[Tuple[Tuple[int, int], ...], ...], int, int, int]
-) -> dict:
-    """Co-mine one root-range chunk for a whole family (one traversal)."""
-    family_edges, delta, lo, hi = task
-    return _cominer_for(family_edges, delta).mine_range(lo, hi).as_payload()
 
 
 class _RangeMiner(MackeyMiner):
@@ -226,18 +120,126 @@ class _RangeMiner(MackeyMiner):
         return MiningResult(count=self._count, counters=counters)
 
 
+class ResidentGraph:
+    """A worker's copy of one shipped graph and the engines built on it.
+
+    Engines are built once per ``(chunk kind, spec, delta)`` and reused
+    across that query's chunks, so per-engine setup (a miner's memo
+    tables, a co-miner's motif trie, a sampler's bin weights) is paid
+    once per worker, not once per chunk.
+    """
+
+    __slots__ = ("graph", "engines", "_keepalive")
+
+    def __init__(self, graph: TemporalGraph, keepalive=None) -> None:
+        self.graph = graph
+        self.engines: Dict[Tuple, object] = {}
+        #: The shared-memory segment the graph's arrays view, if any.
+        self._keepalive = keepalive
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Dict[str, np.ndarray], num_nodes: int, keepalive=None
+    ) -> "ResidentGraph":
+        graph = TemporalGraph.from_arrays(
+            num_nodes=num_nodes, validate=False, **arrays
+        )
+        return cls(graph, keepalive)
+
+    @classmethod
+    def adopt(cls, payload) -> "ResidentGraph":
+        """Rebuild a graph shipped as :attr:`GraphShipment.payload`."""
+        shm_name, data, num_nodes = payload
+        if shm_name is None:
+            return cls.from_arrays(data, num_nodes)
+        seg = _attach_untracked(shm_name)
+        arrays = {
+            name: np.ndarray(
+                (length,), dtype=np.int64, buffer=seg.buf, offset=start * 8
+            )
+            for name, (start, length) in data.items()
+        }
+        return cls.from_arrays(arrays, num_nodes, keepalive=seg)
+
+
+def _mining_payload(result: MiningResult) -> Tuple[int, dict]:
+    return result.count, result.counters.as_dict()
+
+
+def _batched_miner(graph: TemporalGraph, edges, delta: int):
+    from repro.mining.batched import BatchedMiner  # lazy: avoids an import cycle
+
+    return BatchedMiner(graph, Motif(edges), delta)
+
+
+def _cominer(graph: TemporalGraph, family_edges, delta: int):
+    from repro.comine.engine import CoMiner  # lazy: avoids an import cycle
+
+    return CoMiner(graph, [Motif(edges) for edges in family_edges], delta)
+
+
+def _sampler(graph: TemporalGraph, spec, delta: int):
+    from repro.approx.sampler import IntervalSampler, spec_from_params
+
+    # spec = (motif_edges, ApproxSpec.sampler_params()); lo/hi of a
+    # sample chunk are sample indices, not root edges.
+    edges, params = spec
+    return IntervalSampler(graph, Motif(edges), delta, spec_from_params(params))
+
+
+#: chunk kind -> (engine factory ``(graph, spec, delta)``,
+#: ``run(engine, lo, hi)`` returning the chunk's wire payload).
+CHUNK_KINDS = {
+    "motif": (
+        lambda graph, edges, delta: _RangeMiner(graph, Motif(edges), delta),
+        lambda engine, lo, hi: _mining_payload(engine.mine_range(lo, hi)),
+    ),
+    "batched": (
+        _batched_miner,
+        lambda engine, lo, hi: _mining_payload(engine.mine_range(lo, hi)),
+    ),
+    "family": (
+        _cominer,
+        lambda engine, lo, hi: engine.mine_range(lo, hi).as_payload(),
+    ),
+    "sample": (
+        _sampler,
+        lambda engine, lo, hi: engine.sample_range(lo, hi).as_payload(),
+    ),
+}
+
+
+def run_chunk(
+    resident: ResidentGraph, kind: str, spec, delta: int, lo: int, hi: int
+):
+    """Run one chunk of ``kind`` on ``resident``'s graph.
+
+    Every chunk is a pure function of ``(graph, kind, spec, delta, lo,
+    hi)``, so it can be retried on any worker holding the same graph
+    and its payload merged in any order.
+    """
+    try:
+        build, run = CHUNK_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown chunk kind {kind!r}") from None
+    key = (kind, spec, delta)
+    engine = resident.engines.get(key)
+    if engine is None:
+        engine = resident.engines[key] = build(resident.graph, spec, delta)
+    return run(engine, lo, hi)
+
+
 # -- parent side ---------------------------------------------------------------
 
 
 class GraphShipment:
     """One-time shipment of a graph's backing arrays to worker processes.
 
-    Prefers a single ``multiprocessing.shared_memory`` segment (workers
-    adopt zero-copy views); falls back to pickling the contiguous
-    arrays once per worker.  Exposes the ``(initializer, initargs)``
-    pair any process-based pool can run in its workers; ``close``
-    unlinks the segment.  Shared by :class:`MiningPool` and
-    :class:`~repro.resilience.supervisor.SupervisedMiningPool`.
+    The arrays go into a single ``multiprocessing.shared_memory``
+    segment and workers adopt zero-copy views; where shared memory is
+    unavailable the contiguous arrays are pickled once per worker.
+    :attr:`payload` is what a worker's :meth:`ResidentGraph.adopt`
+    takes; ``close`` unlinks the segment.
     """
 
     def __init__(self, graph: TemporalGraph) -> None:
@@ -258,8 +260,7 @@ class GraphShipment:
                     layout[name] = (start, length)
                     start += length
                 self._seg = seg
-                self.initializer = _init_worker_shm
-                self.initargs = (seg.name, layout, graph.num_nodes)
+                self.payload = (seg.name, layout, graph.num_nodes)
                 return
             except OSError:  # pragma: no cover - e.g. /dev/shm unavailable
                 self._seg = None
@@ -267,8 +268,7 @@ class GraphShipment:
             name: np.ascontiguousarray(a, dtype=np.int64)
             for name, a in arrays.items()
         }
-        self.initializer = _init_worker_arrays
-        self.initargs = (contiguous, graph.num_nodes)
+        self.payload = (None, contiguous, graph.num_nodes)
 
     def close(self) -> None:
         if self._seg is not None:
@@ -281,7 +281,7 @@ class GraphShipment:
 
 
 class MiningCancelled(RuntimeError):
-    """Raised by :meth:`MiningPool.count_many` when its ``cancel_check``
+    """Raised by the pool's mining calls when their ``cancel_check``
     fires.  Cancellation is best-effort at chunk granularity: chunks
     already executing run to completion, but no further chunks are
     dispatched and partial counts are discarded."""
@@ -334,320 +334,6 @@ def _guided_bounds(
     return bounds
 
 
-class MiningPool:
-    """A worker pool with the graph resident (zero-copy) in every worker.
-
-    The graph is shipped once at pool construction — through a
-    ``multiprocessing.shared_memory`` segment when the platform supports
-    it, otherwise by pickling the numpy arrays once per worker — and
-    every subsequent :meth:`count` / :meth:`count_many` call only sends
-    tiny ``(motif, delta, root range)`` task tuples.  Use as a context
-    manager so the shared segment is always unlinked.
-    """
-
-    def __init__(self, graph: TemporalGraph, num_workers: Optional[int] = None) -> None:
-        if num_workers is None:
-            num_workers = os.cpu_count() or 1
-        if num_workers < 1:
-            raise ValueError("MiningPool needs at least one worker")
-        self.graph = graph
-        self.num_workers = int(num_workers)
-        self._closed = False
-        self._broken = False
-        self._shipment = GraphShipment(graph)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.num_workers,
-            initializer=self._shipment.initializer,
-            initargs=self._shipment.initargs,
-        )
-
-    # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def broken(self) -> bool:
-        """True once a worker death has poisoned the executor: every
-        later submit raises ``BrokenProcessPool``, so holders (e.g. the
-        service's per-graph pool LRU) must evict and rebuild."""
-        return self._broken or getattr(self._pool, "_broken", False)
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.shutdown(wait=True)
-        self._shipment.close()
-
-    def __enter__(self) -> "MiningPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- mining ----------------------------------------------------------------
-
-    def count(
-        self,
-        motif: Motif,
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        engine: str = "mackey",
-    ) -> ParallelResult:
-        """Exactly count one motif; results identical to :class:`MackeyMiner`."""
-        return self.count_many(
-            [motif], delta, chunks_per_worker, cancel_check, engine=engine
-        )[0]
-
-    def count_many(
-        self,
-        motifs: Sequence[Motif],
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-        engine: str = "mackey",
-    ) -> List[ParallelResult]:
-        """Count several motifs in one dispatch wave.
-
-        All motifs' chunks share the dynamic dispatch window, so workers
-        drain straight from one motif's tail into the next motif's head
-        with no inter-motif barrier.
-
-        ``cancel_check`` is polled at every chunk boundary (the serving
-        layer's deadline hook): when it returns True, dispatch stops,
-        in-flight chunks are drained, and :class:`MiningCancelled` is
-        raised — the pool stays alive and reusable for the next call.
-
-        ``engine`` picks the per-chunk core (:data:`POOL_ENGINES`);
-        counts and counters are byte-identical either way.
-        """
-        if self._closed:
-            raise RuntimeError("MiningPool is closed")
-        if engine not in POOL_ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {POOL_ENGINES}")
-        chunk_fn = _mine_batched_chunk if engine == "batched" else _mine_chunk
-        m = self.graph.num_edges
-        totals = [0] * len(motifs)
-        merged = [SearchCounters() for _ in motifs]
-        chunk_counts = [0] * len(motifs)
-        if m == 0 or not motifs:
-            return [
-                ParallelResult(totals[i], merged[i], self.num_workers, 0)
-                for i in range(len(motifs))
-            ]
-
-        bounds = _guided_bounds(m, self.num_workers, chunks_per_worker)
-        tasks = [
-            (i, motif.edges, int(delta), lo, hi)
-            for i, motif in enumerate(motifs)
-            for lo, hi in bounds
-        ]
-        for i in range(len(motifs)):
-            chunk_counts[i] = len(bounds)
-
-        task_iter = iter(tasks)
-        pending: Dict = {}
-
-        def submit_next() -> None:
-            try:
-                idx, edges, d, lo, hi = next(task_iter)
-            except StopIteration:
-                return
-            try:
-                fut = self._pool.submit(chunk_fn, (edges, d, lo, hi))
-            except BrokenProcessPool:
-                self._broken = True
-                raise
-            pending[fut] = idx
-
-        def drain_and_cancel() -> None:
-            for fut in pending:
-                fut.cancel()
-            wait(set(pending))
-            pending.clear()
-            raise MiningCancelled("mining cancelled by cancel_check")
-
-        # Keep a bounded in-flight window: whenever any chunk completes,
-        # dispatch the next one to the freed worker (dynamic scheduling).
-        for _ in range(2 * self.num_workers):
-            submit_next()
-        while pending:
-            if cancel_check is not None and cancel_check():
-                drain_and_cancel()
-            done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-            for fut in done:
-                idx = pending.pop(fut)
-                try:
-                    count, counter_dict = fut.result()
-                except BrokenProcessPool:
-                    # A worker died; the executor is permanently
-                    # poisoned.  Mark it so holders can evict/rebuild
-                    # instead of failing every later call.
-                    self._broken = True
-                    raise
-                totals[idx] += count
-                merged[idx].merge(SearchCounters(**counter_dict))
-                submit_next()
-
-        return [
-            ParallelResult(totals[i], merged[i], self.num_workers, chunk_counts[i])
-            for i in range(len(motifs))
-        ]
-
-    def count_family(
-        self,
-        motifs: Sequence[Motif],
-        delta: int,
-        chunks_per_worker: int = 8,
-        cancel_check: Optional[Callable[[], bool]] = None,
-    ) -> FamilyParallelResult:
-        """Co-mine a whole family: each chunk is ONE shared traversal.
-
-        Where :meth:`count_many` dispatches ``len(motifs)`` chunk waves
-        (one per motif), this sends each root range to a worker once and
-        the worker's resident :class:`~repro.comine.engine.CoMiner`
-        extends it toward every motif simultaneously.  Per-motif counts
-        and counters are byte-identical to :meth:`count_many`; the
-        family-level counters and sharing stats report the saved work.
-        """
-        from repro.comine.engine import FamilyResult
-        from repro.comine.trie import MotifTrie
-
-        if self._closed:
-            raise RuntimeError("MiningPool is closed")
-        trie = MotifTrie(motifs)  # validates the family (raises on empty)
-        acc = FamilyResult.empty(trie)
-        m = self.graph.num_edges
-        if m == 0:
-            return self._family_result(motifs, acc, 0)
-
-        bounds = _guided_bounds(m, self.num_workers, chunks_per_worker)
-        family_edges = tuple(m_.edges for m_ in motifs)
-        task_iter = iter(
-            (family_edges, int(delta), lo, hi) for lo, hi in bounds
-        )
-        pending: set = set()
-
-        def submit_next() -> None:
-            try:
-                task = next(task_iter)
-            except StopIteration:
-                return
-            try:
-                pending.add(self._pool.submit(_mine_family_chunk, task))
-            except BrokenProcessPool:
-                self._broken = True
-                raise
-
-        for _ in range(2 * self.num_workers):
-            submit_next()
-        while pending:
-            if cancel_check is not None and cancel_check():
-                for fut in pending:
-                    fut.cancel()
-                wait(pending)
-                pending.clear()
-                raise MiningCancelled("mining cancelled by cancel_check")
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                pending.discard(fut)
-                try:
-                    payload = fut.result()
-                except BrokenProcessPool:
-                    self._broken = True
-                    raise
-                acc.merge(FamilyResult.from_payload(payload))
-                submit_next()
-        return self._family_result(motifs, acc, len(bounds))
-
-    def sample_intervals(
-        self,
-        motif: Motif,
-        delta: int,
-        spec,
-        lo: int,
-        hi: int,
-        cancel_check: Optional[Callable[[], bool]] = None,
-    ):
-        """Run approximate sample indices ``[lo, hi)`` as pool chunks.
-
-        Each chunk is a pure function of its index range (per-sample
-        RNG substreams, see :mod:`repro.approx.sampler`), and batches
-        merge commutatively, so the merged result is byte-identical to
-        an inline :meth:`IntervalSampler.sample_range(lo, hi)
-        <repro.approx.sampler.IntervalSampler.sample_range>` no matter
-        how the range was chunked or which workers ran it.  ``spec`` is
-        an :class:`~repro.approx.estimate.ApproxSpec`.
-        """
-        from repro.approx.estimate import SampleBatch
-        from repro.approx.sampler import _sample_chunk
-
-        if self._closed:
-            raise RuntimeError("MiningPool is closed")
-        merged = SampleBatch()
-        n = hi - lo
-        if n <= 0:
-            return merged
-        params = spec.sampler_params()
-        size = max(1, n // (2 * self.num_workers))
-        bounds = [(i, min(hi, i + size)) for i in range(lo, hi, size)]
-        task_iter = iter(
-            (motif.edges, int(delta), params, c_lo, c_hi) for c_lo, c_hi in bounds
-        )
-        pending: set = set()
-
-        def submit_next() -> None:
-            try:
-                task = next(task_iter)
-            except StopIteration:
-                return
-            try:
-                pending.add(self._pool.submit(_sample_chunk, task))
-            except BrokenProcessPool:
-                self._broken = True
-                raise
-
-        for _ in range(2 * self.num_workers):
-            submit_next()
-        while pending:
-            if cancel_check is not None and cancel_check():
-                for fut in pending:
-                    fut.cancel()
-                wait(pending)
-                pending.clear()
-                raise MiningCancelled("sampling cancelled by cancel_check")
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for fut in done:
-                pending.discard(fut)
-                try:
-                    payload = fut.result()
-                except BrokenProcessPool:
-                    self._broken = True
-                    raise
-                merged.merge(SampleBatch.from_payload(payload))
-                submit_next()
-        return merged
-
-    def _family_result(
-        self, motifs: Sequence[Motif], acc, num_chunks: int
-    ) -> FamilyParallelResult:
-        return FamilyParallelResult(
-            results=tuple(
-                ParallelResult(
-                    acc.counts[i], acc.per_motif[i], self.num_workers, num_chunks
-                )
-                for i in range(len(motifs))
-            ),
-            counters=acc.counters,
-            sharing=acc.sharing,
-            num_workers=self.num_workers,
-            num_chunks=num_chunks,
-        )
-
-
 def count_motifs_parallel(
     graph: TemporalGraph,
     motif: Motif,
@@ -675,5 +361,9 @@ def count_motifs_parallel(
         else:
             result = MackeyMiner(graph, motif, delta).mine()
         return ParallelResult(result.count, result.counters, 0, 1)
-    with MiningPool(graph, num_workers) as pool:
+    from repro.resilience.supervisor import SupervisedMiningPool  # lazy: cycle
+
+    # Offline runs have no deadline to protect: no wedge detection, so a
+    # legitimately long chunk on a big graph is never killed.
+    with SupervisedMiningPool(graph, num_workers, chunk_timeout_s=None) as pool:
         return pool.count(motif, delta, chunks_per_worker, engine=engine)

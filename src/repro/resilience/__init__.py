@@ -10,10 +10,14 @@ that property into operational resilience:
   injection (:class:`FaultPlan` / :func:`fault_point`), so failure
   handling is exercised by ordinary tests and the ``repro chaos`` CLI
   rather than hoped-for;
-- :mod:`~repro.resilience.supervisor` —
-  :class:`SupervisedMiningPool`, process workers with explicit pipes,
-  sentinel monitoring, chunk-level retry and budgeted respawn with
-  capped exponential backoff;
+- :mod:`~repro.resilience.supervisor` — the one supervised chunk
+  runner, :class:`ChunkSupervisor`: process workers on an authenticated
+  local socket, one worker main serving every chunk kind, sentinel
+  monitoring, chunk-level retry and budgeted respawn with capped
+  exponential backoff.  :class:`SupervisedMiningPool` is that runner
+  with one graph resident (shared memory) in every worker;
+  :class:`~repro.cluster.MiningCluster` is the same runner placing many
+  graphs on ring-chosen node slots;
 - :mod:`~repro.resilience.breaker` — :class:`CircuitBreaker`, the
   per-graph closed/open/half-open guard the serving layer uses to shed
   throughput (degraded serial mining) instead of correctness when a
@@ -31,6 +35,7 @@ from repro.resilience.faults import (
 )
 from repro.resilience.supervisor import (
     ChunkFailed,
+    ChunkSupervisor,
     PoolDegraded,
     PoolFailed,
     PoolStats,
@@ -40,6 +45,7 @@ from repro.resilience.supervisor import (
 __all__ = [
     "CLOSED",
     "ChunkFailed",
+    "ChunkSupervisor",
     "CircuitBreaker",
     "FaultPlan",
     "FaultSpec",

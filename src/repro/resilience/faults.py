@@ -21,7 +21,7 @@ Known sites:
 - ``worker.chunk`` — a supervised mining worker, just before it mines a
   root-range chunk (context: ``worker`` = worker id).
 - ``node.chunk`` — a cluster worker node
-  (:mod:`repro.cluster.node`), just before it mines a chunk (context:
+  (:class:`~repro.cluster.coordinator.MiningCluster`), just before it mines a chunk (context:
   ``worker`` = node slot index).  Same shape as ``worker.chunk``, one
   level up the deployment ladder.
 - ``executor.batch`` — :class:`~repro.service.executor.PoolExecutor`

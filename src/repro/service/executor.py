@@ -14,17 +14,16 @@ behave exactly as before, just cheaper.  Two implementations:
   cost; the right backend for small graphs, tests and single-machine
   deployments where query concurrency (lanes) already saturates the
   cores.
-- :class:`PoolExecutor` — per-graph resident worker pool reuse
-  (:class:`~repro.resilience.supervisor.SupervisedMiningPool` by
-  default).  The first batch against a graph ships it (zero-copy shared
+- :class:`PoolExecutor` — per-graph resident
+  :class:`~repro.resilience.supervisor.SupervisedMiningPool` reuse.
+  The first batch against a graph ships it (zero-copy shared
   memory) into a resident pool; subsequent batches only send tiny task
   tuples.  Pools are closed when the registry evicts their graph.
 
 Fault tolerance in :class:`PoolExecutor` (degrade, never corrupt):
 
-- **Checkout health.**  A cached pool that is closed or broken (e.g. a
-  ``MiningPool`` poisoned by ``BrokenProcessPool``, or a supervised
-  pool that exhausted its respawn budget) is evicted at checkout and a
+- **Checkout health.**  A cached pool that is closed or broken (it
+  exhausted its respawn budget) is evicted at checkout and a
   fresh pool is built — one broken pool can no longer fail every later
   query for its graph.
 - **Per-graph circuit breaker.**  ``breaker_failures`` consecutive
@@ -49,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner
-from repro.mining.parallel import POOL_ENGINES, MiningCancelled, MiningPool
+from repro.mining.parallel import POOL_ENGINES, MiningCancelled
 from repro.motifs.motif import Motif
 from repro.resilience.breaker import CLOSED, CircuitBreaker
 from repro.resilience.faults import FaultPlan, fault_point
@@ -58,6 +57,37 @@ from repro.service.metrics import ResilienceCounters
 
 #: One batch item's result: (count, counters-as-dict).
 BatchItem = Tuple[int, Dict[str, int]]
+
+
+def estimate_motifs(
+    sample_range: Callable[[Motif, int, int], object],
+    motifs: Sequence[Motif],
+    delta: int,
+    spec,
+    cancel_check: Optional[Callable[[], bool]],
+    on_round: Optional[Callable[[int, object], None]],
+) -> List:
+    """Per-motif adaptive estimates whose sample-index chunks run through
+    ``sample_range(motif, lo, hi)`` on a pool or cluster.
+
+    ``on_round(index, estimate)`` observes every completed round.
+    """
+    from repro.approx.engine import adaptive_estimate
+    from repro.approx.sampler import window_length_for
+
+    window = window_length_for(delta, spec)
+    out: List = []
+    for i, motif in enumerate(motifs):
+        hook = (
+            (lambda est, _i=i: on_round(_i, est)) if on_round is not None else None
+        )
+        out.append(
+            adaptive_estimate(
+                lambda lo, hi, _m=motif: sample_range(_m, lo, hi),
+                spec, window, cancel_check, hook,
+            )
+        )
+    return out
 
 
 class InlineExecutor:
@@ -175,12 +205,9 @@ class PoolExecutor:
     resident (they hold worker processes and a shared-memory graph
     copy), evicted least-recently-used beyond that.
 
-    ``supervised=True`` (default) builds
-    :class:`SupervisedMiningPool` workers that survive individual
-    deaths; ``supervised=False`` keeps the plain
-    :class:`~repro.mining.parallel.MiningPool`.  ``fault_plan`` is
-    shipped into supervised workers (chaos testing).  ``counters``
-    shares a :class:`ResilienceCounters` with the scheduler so service
+    Each pool is a :class:`SupervisedMiningPool`, whose workers survive
+    individual deaths.  ``fault_plan`` is installed in every pool
+    worker (chaos testing).  ``counters`` shares a :class:`ResilienceCounters` with the scheduler so service
     metrics see executor-side events.  ``engine`` picks the per-chunk
     mining core for non-comined batches (and for the inline fallback);
     results are byte-identical either way.
@@ -191,7 +218,6 @@ class PoolExecutor:
         num_workers: int,
         max_pools: int = 2,
         *,
-        supervised: bool = True,
         breaker_failures: int = 3,
         breaker_cooldown_s: float = 5.0,
         chunk_timeout_s: Optional[float] = 30.0,
@@ -211,7 +237,6 @@ class PoolExecutor:
             )
         self.num_workers = int(num_workers)
         self.max_pools = int(max_pools)
-        self.supervised = bool(supervised)
         self.breaker_failures = int(breaker_failures)
         self.breaker_cooldown_s = float(breaker_cooldown_s)
         self.chunk_timeout_s = chunk_timeout_s
@@ -225,34 +250,28 @@ class PoolExecutor:
         )
         self._lock = threading.Lock()
         #: fingerprint -> pool, most recently used last.
-        self._pools: Dict[str, object] = {}
+        self._pools: Dict[str, SupervisedMiningPool] = {}
         self._order: List[str] = []
         self._breakers: Dict[str, CircuitBreaker] = {}
 
     # -- pool residency --------------------------------------------------------
 
-    def _build_pool(self, graph: TemporalGraph):
-        if self.supervised:
-            return SupervisedMiningPool(
-                graph,
-                self.num_workers,
-                chunk_timeout_s=self.chunk_timeout_s,
-                respawn_budget=self.respawn_budget,
-                fault_plan=self.fault_plan,
-                on_event=self.counters.inc,
-            )
-        return MiningPool(graph, self.num_workers)
-
-    @staticmethod
-    def _unhealthy(pool) -> bool:
-        return pool.closed or getattr(pool, "broken", False)
+    def _build_pool(self, graph: TemporalGraph) -> SupervisedMiningPool:
+        return SupervisedMiningPool(
+            graph,
+            self.num_workers,
+            chunk_timeout_s=self.chunk_timeout_s,
+            respawn_budget=self.respawn_budget,
+            fault_plan=self.fault_plan,
+            on_event=self.counters.inc,
+        )
 
     def _pool_for(self, graph: TemporalGraph):
         fp = graph.fingerprint()
         doomed: List = []
         with self._lock:
             pool = self._pools.get(fp)
-            if pool is not None and self._unhealthy(pool):
+            if pool is not None and pool.broken:
                 # A broken pool must never be handed out again: evict
                 # and rebuild instead of failing every later query.
                 doomed.append(self._pools.pop(fp))
@@ -310,14 +329,10 @@ class PoolExecutor:
         """``fingerprint -> {live, target}`` for resident pools."""
         with self._lock:
             pools = dict(self._pools)
-        out: Dict[str, Dict[str, int]] = {}
-        for fp, pool in pools.items():
-            live = getattr(pool, "live_workers", None)
-            if live is None:
-                # Plain MiningPool: infer from brokenness.
-                live = 0 if self._unhealthy(pool) else self.num_workers
-            out[fp] = {"live": int(live), "target": self.num_workers}
-        return out
+        return {
+            fp: {"live": pool.live_workers, "target": self.num_workers}
+            for fp, pool in pools.items()
+        }
 
     @property
     def degraded(self) -> bool:
@@ -391,9 +406,6 @@ class PoolExecutor:
         which is *still* approximate-and-labelled, so the breaker path
         serves bounded answers rather than rejecting.
         """
-        from repro.approx.engine import adaptive_estimate
-        from repro.approx.sampler import window_length_for
-
         fp = graph.fingerprint()
         breaker = self._breaker_for(fp)
         if not breaker.allow():
@@ -401,28 +413,15 @@ class PoolExecutor:
             return self._fallback.estimate_batch(
                 graph, motifs, delta, spec, cancel_check, on_round
             )
-        window = window_length_for(delta, spec)
-        out: List = []
         try:
             fault_point("executor.batch", graph=fp)
             pool = self._pool_for(graph)
-            for i, motif in enumerate(motifs):
-                hook = (
-                    (lambda est, _i=i: on_round(_i, est))
-                    if on_round is not None
-                    else None
-                )
-                out.append(
-                    adaptive_estimate(
-                        lambda lo, hi, _m=motif: pool.sample_intervals(
-                            _m, delta, spec, lo, hi, cancel_check
-                        ),
-                        spec,
-                        window,
-                        cancel_check,
-                        hook,
-                    )
-                )
+            out = estimate_motifs(
+                lambda motif, lo, hi: pool.sample_intervals(
+                    motif, delta, spec, lo, hi, cancel_check
+                ),
+                motifs, delta, spec, cancel_check, on_round,
+            )
         except MiningCancelled:
             # Only escapes when a motif's *first* round was cancelled
             # (later rounds return a truncated estimate); not a backend

@@ -18,7 +18,7 @@ Request lifecycle
 3. **Batch.**  A dispatcher thread drains the queue and groups
    compatible entries — same graph, same δ — into one batch, which an
    execution lane hands to the backend as a single multi-motif call
-   (:meth:`MiningPool.count_many` under :class:`PoolExecutor`), so a
+   (:meth:`SupervisedMiningPool.count_many` under :class:`PoolExecutor`), so a
    burst of different motifs against one graph shares a single
    dispatch wave.
 4. **Mine.**  Lanes (a small thread pool) execute batches concurrently
@@ -513,25 +513,10 @@ class QueryScheduler:
         def on_round(i: int, est: ApproxEstimate) -> None:
             live[i].partial = est
 
-        estimate_batch = getattr(self.executor, "estimate_batch", None)
-        if estimate_batch is None:
-            # Backend without native sampling support (e.g. a cluster
-            # executor): estimate inline against the resident graph.
-            from repro.approx.engine import estimate_inline
-
-            def estimate_batch(graph, motifs, d, s, cancel, hook):  # noqa: ANN001
-                return [
-                    estimate_inline(
-                        graph, m, d, s, cancel,
-                        (lambda est, _i=i: hook(_i, est)) if hook else None,
-                    )
-                    for i, m in enumerate(motifs)
-                ]
-
         attempts = 0
         while True:
             try:
-                estimates = estimate_batch(
+                estimates = self.executor.estimate_batch(
                     graph, [e.motif for e in live], delta, spec,
                     cancel_check, on_round,
                 )

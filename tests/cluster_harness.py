@@ -102,9 +102,9 @@ def _serial(graph, motifs, delta, engine) -> List[MotifResult]:
 
 
 def _pooled(graph, motifs, delta, engine, workers) -> List[MotifResult]:
-    from repro.mining.parallel import MiningPool
+    from repro.resilience import SupervisedMiningPool
 
-    with MiningPool(graph, workers) as pool:
+    with SupervisedMiningPool(graph, workers) as pool:
         if engine == "comine":
             fam = pool.count_family(list(motifs), delta)
             results = list(fam.results)

@@ -245,11 +245,11 @@ class TestDeterminismAcrossBackends:
         assert est.stats_dict() == inline_est.stats_dict()
 
     def test_pooled_matches_inline_bytes(self, graph, spec, inline_est):
-        from repro.mining.parallel import MiningPool
+        from repro.resilience import SupervisedMiningPool
         from repro.service.query import payload_bytes
 
         window = window_length_for(DELTA, spec)
-        with MiningPool(graph, 2) as pool:
+        with SupervisedMiningPool(graph, 2) as pool:
             pooled = adaptive_estimate(
                 lambda lo, hi: pool.sample_intervals(M1, DELTA, spec, lo, hi),
                 spec, window,

@@ -8,7 +8,7 @@ contract is checked everywhere the engine plugs in:
 
 - serial, across the motif catalog and the synthetic generator families;
 - chunked ``mine_range`` with commutative merge (any chunking);
-- pooled (``MiningPool`` with ``engine="batched"``);
+- pooled (``SupervisedMiningPool`` with ``engine="batched"``);
 - supervised with injected worker kills (the ``"batched"`` chunk kind
   retried across deaths);
 - service batch lanes (``InlineExecutor``/``PoolExecutor`` with
@@ -27,7 +27,7 @@ import pytest
 from repro.graph.generators import make_dataset
 from repro.mining.batched import BatchedMiner
 from repro.mining.mackey import MackeyMiner
-from repro.mining.parallel import MiningCancelled, MiningPool
+from repro.mining.parallel import MiningCancelled
 from repro.mining.results import SearchCounters
 from repro.motifs.catalog import EVALUATION_MOTIFS, EXTRA_MOTIFS
 from repro.resilience import FaultPlan, SupervisedMiningPool
@@ -148,7 +148,7 @@ class TestCancellation:
 class TestPooledParity:
     def test_mining_pool_batched_engine_byte_parity(self, graph):
         expected = scalar_payloads(graph, CATALOG[:4])
-        with MiningPool(graph, 2) as pool:
+        with SupervisedMiningPool(graph, 2) as pool:
             results = pool.count_many(
                 list(CATALOG[:4]), DELTA, engine="batched"
             )
@@ -157,7 +157,7 @@ class TestPooledParity:
             assert got == expected[motif.name], motif.name
 
     def test_unknown_engine_rejected(self, graph):
-        with MiningPool(graph, 1) as pool:
+        with SupervisedMiningPool(graph, 1) as pool:
             with pytest.raises(ValueError):
                 pool.count_many([CATALOG[0]], DELTA, engine="quantum")
 

@@ -34,7 +34,7 @@ from repro.cluster import (
     MiningCluster,
     slot_name,
 )
-from repro.cluster.node import build_graph_state, mine_in_state
+from repro.mining.parallel import ResidentGraph, run_chunk
 from repro.mining.mackey import MackeyMiner
 from repro.motifs.catalog import M1, PING_PONG
 from repro.resilience import FaultPlan
@@ -185,7 +185,7 @@ def partitions(draw, m):
 class TestShardSplitMerge:
     """Mining root ranges in any split, merged in any order, equals the
     whole-range serial result — counts AND counters.  This runs the
-    actual node-side chunk body (:func:`mine_in_state`), so it is the
+    actual worker-side chunk body (:func:`run_chunk`), so it is the
     exact computation a retried/failed-over chunk re-executes."""
 
     @settings(max_examples=25, deadline=None)
@@ -199,7 +199,7 @@ class TestShardSplitMerge:
         graph = random_temporal_graph(rng, 12, 80, time_range=120)
         delta = 40
         serial = MackeyMiner(graph, motif, delta).mine()
-        state = build_graph_state(graph.as_arrays(), graph.num_nodes)
+        state = ResidentGraph.from_arrays(graph.as_arrays(), graph.num_nodes)
         chunks = data.draw(partitions(graph.num_edges))
         data.draw(st.randoms(use_true_random=False)).shuffle(chunks)
         total = 0
@@ -207,7 +207,7 @@ class TestShardSplitMerge:
 
         counters = SearchCounters()
         for lo, hi in chunks:
-            count, cdict = mine_in_state(
+            count, cdict = run_chunk(
                 state, "motif", motif.edges, delta, lo, hi
             )
             total += count
@@ -280,7 +280,7 @@ class TestMiningClusterUnits:
             stats = cluster.stats.as_dict()
         assert result.count == serial.count
         assert result.counters.as_dict() == serial.counters.as_dict()
-        assert stats["node_deaths"] >= 1
+        assert stats["worker_deaths"] >= 1
         assert stats["respawns"] >= 1
         # The graph was re-shipped to each respawned process.
         assert stats["graph_ships"] == 1 + stats["respawns"]
@@ -310,7 +310,7 @@ class TestMiningClusterUnits:
             assert cluster.broken
             stats = cluster.stats.as_dict()
         assert stats["respawns"] == 2
-        assert stats["node_deaths"] == 3  # initial + both respawns
+        assert stats["worker_deaths"] == 3  # initial + both respawns
         assert fake.sleeps
 
     def test_closed_cluster_refuses_work(self):

@@ -93,7 +93,7 @@ class TestDifferentialGrid:
                 "cluster", engine, graph, motifs, DELTA, cluster=cluster
             )
             stats = cluster.stats.as_dict()
-        assert stats["node_deaths"] >= 1
+        assert stats["worker_deaths"] >= 1
         assert stats["chunk_retries"] >= 1
         assert payloads(graph, motifs, DELTA, results) == reference
 
@@ -107,7 +107,7 @@ class TestDegradedAndFailover:
             fam = cluster.count_family(graph, motifs, DELTA)
             assert cluster.degraded
             stats = cluster.stats.as_dict()
-        assert stats["node_deaths"] == 1
+        assert stats["worker_deaths"] == 1
         assert stats["respawns"] == 0
         results = [(r.count, r.counters.as_dict()) for r in fam.results]
         assert payloads(graph, motifs, DELTA, results) == reference
@@ -133,7 +133,7 @@ class TestDegradedAndFailover:
             stats = cluster.stats.as_dict()
             assert cluster.degraded
         assert stats["failovers"] >= 1
-        assert stats["node_deaths"] == 1
+        assert stats["worker_deaths"] == 1
         pairs = [(r.count, r.counters.as_dict()) for r in results]
         assert payloads(graph, motifs, DELTA, pairs) == reference
 

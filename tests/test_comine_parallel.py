@@ -1,9 +1,9 @@
-"""Sharded co-mining: ``count_family`` on both worker pools.
+"""Sharded co-mining: ``count_family`` on the supervised worker pool.
 
 The family chunk is as idempotent as the per-motif chunk — one shared
 traversal over a root range, merged commutatively — so it must compose
-with both the zero-copy :class:`MiningPool` and the fault-tolerant
-:class:`SupervisedMiningPool` without changing a single byte of any
+with the zero-copy, fault-tolerant :class:`SupervisedMiningPool`
+without changing a single byte of any
 motif's count or counters, even under injected worker kills.
 """
 
@@ -11,7 +11,7 @@ import pytest
 
 from repro.comine import CoMiner
 from repro.graph.generators import make_dataset
-from repro.mining.parallel import MiningCancelled, MiningPool
+from repro.mining.parallel import MiningCancelled
 from repro.motifs.catalog import M1, M2, PATH3, PING_PONG
 from repro.motifs.grid import paranjape_grid
 from repro.resilience.faults import FaultPlan
@@ -49,14 +49,14 @@ class TestMiningPoolFamily:
     def test_count_family_matches_serial_cominer(
         self, graph, delta, serial, workers
     ):
-        with MiningPool(graph, workers) as pool:
+        with SupervisedMiningPool(graph, workers) as pool:
             fam = pool.count_family(FAMILY, delta)
         assert_family_parity(fam, serial, FAMILY)
         assert fam.num_workers == workers
         assert fam.num_chunks > 0
 
     def test_count_family_matches_count_many(self, graph, delta):
-        with MiningPool(graph, 2) as pool:
+        with SupervisedMiningPool(graph, 2) as pool:
             many = pool.count_many(FAMILY, delta)
             fam = pool.count_family(FAMILY, delta)
         for a, b in zip(many, fam.results):
@@ -64,12 +64,12 @@ class TestMiningPoolFamily:
             assert a.counters.as_dict() == b.counters.as_dict()
 
     def test_count_family_empty_family_raises(self, graph):
-        with MiningPool(graph, 1) as pool:
+        with SupervisedMiningPool(graph, 1) as pool:
             with pytest.raises(ValueError):
                 pool.count_family([], 10)
 
     def test_count_family_cancel(self, graph, delta):
-        with MiningPool(graph, 2) as pool:
+        with SupervisedMiningPool(graph, 2) as pool:
             with pytest.raises(MiningCancelled):
                 pool.count_family(GRID_MOTIFS, delta, cancel_check=lambda: True)
             # The pool survives a cancelled family run.
@@ -79,7 +79,7 @@ class TestMiningPoolFamily:
             )
 
     def test_closed_pool_rejects_family(self, graph):
-        pool = MiningPool(graph, 1)
+        pool = SupervisedMiningPool(graph, 1)
         pool.close()
         with pytest.raises(RuntimeError):
             pool.count_family(FAMILY, 10)

@@ -15,7 +15,8 @@ from repro.graph.generators import make_dataset
 from repro.graph.temporal_graph import TemporalGraph
 from repro.mining.mackey import MackeyMiner, count_motifs
 from repro.mining.multi import grid_census
-from repro.mining.parallel import MiningPool, _guided_bounds, count_motifs_parallel
+from repro.mining.parallel import _guided_bounds, count_motifs_parallel
+from repro.resilience.supervisor import SupervisedMiningPool
 from repro.motifs.catalog import M1, M2, PING_PONG
 
 from conftest import random_temporal_graph
@@ -78,7 +79,7 @@ class TestGuidedBounds:
 class TestMiningPool:
     def test_pool_reuse_across_motifs(self, graph, serial):
         delta, expected = serial
-        with MiningPool(graph, num_workers=2) as pool:
+        with SupervisedMiningPool(graph, num_workers=2) as pool:
             r1 = pool.count(M1, delta)
             r2 = pool.count(M2, delta)
         assert r1.count == expected.count
@@ -86,7 +87,7 @@ class TestMiningPool:
 
     def test_count_many_matches_individual(self, graph):
         delta = graph.time_span // 40
-        with MiningPool(graph, num_workers=2) as pool:
+        with SupervisedMiningPool(graph, num_workers=2) as pool:
             results = pool.count_many([M1, M2, PING_PONG], delta)
         assert [r.count for r in results] == [
             count_motifs(graph, m, delta) for m in (M1, M2, PING_PONG)
@@ -94,7 +95,7 @@ class TestMiningPool:
 
     def test_validates_worker_count(self, graph):
         with pytest.raises(ValueError):
-            MiningPool(graph, num_workers=0)
+            SupervisedMiningPool(graph, num_workers=0)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graph_parity(self, seed):
@@ -159,7 +160,7 @@ class TestCancellation:
         from repro.mining.parallel import MiningCancelled
 
         delta, expected = serial
-        with MiningPool(graph, 2) as pool:
+        with SupervisedMiningPool(graph, 2) as pool:
             with pytest.raises(MiningCancelled):
                 pool.count(M1, delta, cancel_check=lambda: True)
             # The pool survives a cancelled wave and still mines exactly.
@@ -176,7 +177,7 @@ class TestCancellation:
             calls.append(None)
             return len(calls) > 2
 
-        with MiningPool(graph, 2) as pool:
+        with SupervisedMiningPool(graph, 2) as pool:
             with pytest.raises(MiningCancelled):
                 pool.count(M1, delta, chunks_per_worker=16,
                            cancel_check=cancel_after_two)
@@ -184,12 +185,12 @@ class TestCancellation:
 
     def test_never_cancelled_matches_serial(self, graph, serial):
         delta, expected = serial
-        with MiningPool(graph, 2) as pool:
+        with SupervisedMiningPool(graph, 2) as pool:
             result = pool.count(M1, delta, cancel_check=lambda: False)
         assert result.count == expected.count
 
     def test_close_is_idempotent_and_guards_reuse(self, graph):
-        pool = MiningPool(graph, 1)
+        pool = SupervisedMiningPool(graph, 1)
         pool.close()
         pool.close()  # second close is a no-op
         assert pool.closed

@@ -86,23 +86,6 @@ class TestBrokenPoolCheckout:
         finally:
             executor.close()
 
-    def test_unsupervised_broken_pool_is_evicted_too(self, graph, expected):
-        # The plain MiningPool marks itself broken on BrokenProcessPool;
-        # checkout must treat that exactly like a closed pool.
-        executor = PoolExecutor(2, supervised=False)
-        try:
-            fp = graph.fingerprint()
-            executor.count_batch(graph, [M1], DELTA)
-            executor._pools[fp]._broken = True
-            again = executor.count_batch(graph, [M1], DELTA)
-            payload = payload_bytes(
-                build_payload(fp, M1, DELTA, again[0][0], again[0][1])
-            )
-            assert payload == expected[M1.name]
-            assert executor.counters.get("pools_rebuilt") == 1
-        finally:
-            executor.close()
-
 
 @pytest.mark.timeout(180)
 class TestBreakerDegradation:

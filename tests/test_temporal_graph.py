@@ -96,51 +96,6 @@ class TestAdjacency:
         assert sorted(g.in_edge_idx.tolist()) == list(range(g.num_edges))
 
 
-class TestSearchHelpers:
-    def test_first_out_after(self, tiny_graph):
-        # out(0) = [0, 5]; after edge 0 the first out index > 0 is at pos 1.
-        assert tiny_graph.first_out_after(0, 0) == 1
-        assert tiny_graph.first_out_after(0, -1) == 0
-        assert tiny_graph.first_out_after(0, 5) == 2  # past the end
-
-    def test_first_in_after(self, tiny_graph):
-        # in(2) = [1, 4].
-        assert tiny_graph.first_in_after(2, 0) == 0
-        assert tiny_graph.first_in_after(2, 1) == 1
-        assert tiny_graph.first_in_after(2, 4) == 2
-
-    def test_out_of_range_node_raises_value_error(self, tiny_graph):
-        # Historically these raised a bare IndexError from the offsets
-        # array; an out-of-range node id is a caller bug and gets an
-        # explicit ValueError naming the bound.
-        n = tiny_graph.num_nodes
-        for bad in (n, n + 7, -1):
-            with pytest.raises(ValueError):
-                tiny_graph.first_out_after(bad, 0)
-            with pytest.raises(ValueError):
-                tiny_graph.first_in_after(bad, 0)
-
-    def test_probe_returns_python_int(self, tiny_graph):
-        # The probe result feeds index arithmetic and JSON payloads;
-        # keep it a plain int, not a numpy scalar.
-        assert type(tiny_graph.first_out_after(0, 0)) is int
-        assert type(tiny_graph.first_in_after(2, 0)) is int
-
-    def test_probe_agrees_with_linear_scan(self, burst_graph):
-        g = burst_graph
-        for u in range(g.num_nodes):
-            lo, hi = int(g.out_offsets[u]), int(g.out_offsets[u + 1])
-            slice_idx = g.out_edge_idx[lo:hi].tolist()
-            for probe in range(-1, g.num_edges + 1):
-                want = sum(1 for e in slice_idx if e <= probe)
-                assert g.first_out_after(u, probe) == want, (u, probe)
-            lo, hi = int(g.in_offsets[u]), int(g.in_offsets[u + 1])
-            slice_idx = g.in_edge_idx[lo:hi].tolist()
-            for probe in range(-1, g.num_edges + 1):
-                want = sum(1 for e in slice_idx if e <= probe)
-                assert g.first_in_after(u, probe) == want, (u, probe)
-
-
 class TestProjectionsAndSlices:
     def test_static_projection_dedups(self, burst_graph):
         proj = burst_graph.static_projection()
